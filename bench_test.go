@@ -409,6 +409,12 @@ func BenchmarkEngineStepPowerLawParallel(b *testing.B) {
 	perf.EngineStepPowerLaw(true)(b)
 }
 
+// BenchmarkEngineStepExchange — the neighbour-list exchange behind twohop
+// and count: on G(10^4, p) at mean degree 8 every node broadcasts its
+// d-word neighbour list to its d neighbours, once per ceil(d_max/B)
+// rounds, so every measured round is a steady-state exchange round.
+func BenchmarkEngineStepExchange(b *testing.B) { perf.EngineStepExchange()(b) }
+
 // BenchmarkEngineStepSparse — the phased low-duty-cycle regime (most nodes
 // asleep between phase boundaries): the dense/activity pair is the
 // scheduler speedup recorded in BENCH_engine.json.

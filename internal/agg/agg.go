@@ -65,7 +65,6 @@ func NewCounter(n, b, maxDegree, root int) (mk func(id int) sim.Node, collect fu
 			b:        b,
 			root:     root,
 			bfsStart: bfsStart,
-			twoHop:   make(map[int][]int),
 			onRoot: func(total int64) {
 				rootTotal = total
 				rootDone = true
@@ -83,8 +82,7 @@ type counterNode struct {
 	bfsStart int
 	onRoot   func(int64)
 
-	twoHop   map[int][]int // neighbor -> its neighborhood
-	localCnt int64         // triangles charged to this node (min vertex)
+	localCnt int64 // triangles charged to this node (min vertex)
 
 	joined     bool
 	parent     int
@@ -113,13 +111,8 @@ func (c *counterNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
 		}
 	}
 	if round < c.bfsStart {
-		for _, d := range inbox {
-			for _, w := range d.Words {
-				c.twoHop[d.From] = append(c.twoHop[d.From], int(w))
-			}
-		}
+		c.countCharged(ctx, inbox)
 		if round == c.bfsStart-1 {
-			c.computeLocalCount(ctx)
 			c.startBFS(ctx, round)
 		}
 		return
@@ -131,26 +124,20 @@ func (c *counterNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
 	c.maybeReport(ctx, round)
 }
 
-// computeLocalCount charges each triangle {v,a,b} to min(v,a,b).
-func (c *counterNode) computeLocalCount(ctx *sim.Context) {
+// countCharged counts, as neighbor a's list streams in, the triangles
+// {me, a, b} charged to this node: each triangle is charged to its minimum
+// vertex, and counted once, from the list of its middle vertex a, when
+// b > a > me and b is a neighbor of me.
+func (c *counterNode) countCharged(ctx *sim.Context, inbox []sim.Delivery) {
 	me := ctx.ID()
-	nbrSet := make(map[int]struct{}, ctx.CommDegree())
-	for _, v := range ctx.InputNeighbors() {
-		nbrSet[int(v)] = struct{}{}
-	}
-	for a, lst := range c.twoHop {
-		if a < me {
-			continue // a is smaller: not our charge
+	for _, d := range inbox {
+		a := d.From
+		if a <= me {
+			continue // not our charge
 		}
-		for _, b := range lst {
-			if b <= a || b == me {
-				continue
-			}
-			if _, ok := nbrSet[b]; ok {
-				// Triangle {me, a, b} with me < a < b.
-				if me < a {
-					c.localCnt++
-				}
+		for _, w := range d.Words {
+			if b := int(w); b > a && ctx.HasInputEdge(b) {
+				c.localCnt++
 			}
 		}
 	}

@@ -208,6 +208,49 @@ func EngineStepPowerLaw(parallel bool) func(*testing.B) {
 	}
 }
 
+// exchangeNode re-broadcasts its neighbour list every period rounds: the
+// two-hop neighbourhood exchange that twohop and count are built on,
+// repeated so that every measured round is a steady-state exchange round
+// (period is ceil(maxDegree/B), so each list has drained before the next).
+type exchangeNode struct {
+	period int
+	list   []sim.Word
+}
+
+func (x *exchangeNode) Init(ctx *sim.Context) { ctx.Broadcast(x.list...) }
+
+func (x *exchangeNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
+	if (round+1)%x.period == 0 {
+		ctx.Broadcast(x.list...)
+	}
+}
+
+// EngineExchangeGraph is the exchange workload graph: G(10^4, p) at mean
+// degree 8, the degree regime of the large-graph jobs.
+func EngineExchangeGraph() *graph.Graph {
+	rng := rand.New(rand.NewSource(45))
+	n := 10_000
+	return graph.Gnp(n, 8/float64(n-1), rng)
+}
+
+// EngineStepExchange runs the repeated neighbour-list exchange: every node
+// broadcasts its d-word list to its d neighbours.
+func EngineStepExchange() func(*testing.B) {
+	return func(b *testing.B) {
+		g := EngineExchangeGraph()
+		cfg := sim.Config{Seed: 1}
+		period := sim.RoundsFor(g.MaxDegree(), cfg.Normalized().BandwidthWords)
+		engineStep(b, g, func(id int) sim.Node {
+			nbrs := g.Neighbors(id)
+			list := make([]sim.Word, len(nbrs))
+			for i, v := range nbrs {
+				list[i] = sim.Word(v)
+			}
+			return &exchangeNode{period: period, list: list}
+		}, cfg)
+	}
+}
+
 // sparseN, sparseBeacons and sparsePeriod size the sparse-activity
 // workload: n large enough that an O(n) per-round scan dominates, with
 // only sparseBeacons of the n nodes active each phase.

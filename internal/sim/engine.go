@@ -153,10 +153,12 @@ func (e *Engine) SetHooks(h Hooks) { e.hooks = h }
 
 // wordQueue is a FIFO of words with an amortized O(1) pop-front.
 //
-// Slices returned by popUpTo alias buf and stay valid until the next push:
-// pops happen in the delivery phase, pushes in the merge phase after every
-// node has consumed its inbox, so compacting dead head space at push time
-// never clobbers words a node is still reading.
+// Slices returned by popUpTo — and broadcast-lane windows, which delivery
+// reads in place as buf[head:head+k] before the lane advances — alias buf
+// and stay valid until the next push: pops and lane reads happen in the
+// delivery phase, pushes in the merge phase after every node has consumed
+// its inbox, so compacting dead head space (or reusing a drained buffer)
+// at push time never clobbers words a node is still reading.
 type wordQueue struct {
 	buf  []Word
 	head int
@@ -235,9 +237,16 @@ type Engine struct {
 	recvQueued  []int64
 	queuedWords int64
 
-	// Broadcast-mode state: one shared outgoing queue per node.
+	// Per-sender shared outgoing queues. In ModeBroadcast bcastQ[u] is u's
+	// one broadcast channel, and bcastActive lists the non-empty ones. In
+	// the unicast modes it is u's broadcast lane — words that every
+	// out-channel of u carries ahead of its own queue, so a fault-free
+	// Broadcast is stored once per sender, not once per channel (see
+	// DESIGN.md, "Broadcast lanes") — and laneActive lists the non-empty
+	// ones. bcastInSet dedupes whichever list the mode uses.
 	bcastQ      []wordQueue
 	bcastActive []int32
+	laneActive  []int32
 	bcastInSet  []bool
 
 	inboxes   [][]Delivery
@@ -287,7 +296,7 @@ type Engine struct {
 	// shard. shardRecv/shardSched are the per-shard splits of activeRecv and
 	// scheduled; staging[s*nshards+t] holds sender-shard s's activation
 	// records toward receiver-shard t; stagedBcast[s] holds shard s's newly
-	// broadcast-active senders; shardCtr carries per-shard counters across
+	// active broadcast queues or lanes; shardCtr carries per-shard counters across
 	// the fan-out barriers. All empty/nil when nshards <= 1.
 	nshards        int
 	shardBounds    []int32
@@ -307,7 +316,9 @@ type Engine struct {
 // 128 bytes — two cache lines, because the adjacent-line hardware
 // prefetcher pairs lines — so workers do not false-share. The fault
 // counters (popped through delayed) are written only by deliverToFaulty
-// and folded on the spine like the base pair.
+// and folded on the spine like the base pair. scratch backs the rare
+// deliveries that span a lane's tail and the channel's own head; it lives
+// until the next reset, which comes after every inbox was consumed.
 type deliveryShard struct {
 	messages  int64
 	words     int64
@@ -316,9 +327,13 @@ type deliveryShard struct {
 	dup       int64
 	crashDrop int64
 	delayed   int64
+	scratch   []Word
 	moved     bool
-	_         [71]byte
+	_         [47]byte
 }
+
+// reset zeroes the counters for a new phase, keeping scratch's capacity.
+func (s *deliveryShard) reset() { *s = deliveryShard{scratch: s.scratch[:0]} }
 
 // NewEngine builds an engine for the given input graph and per-node
 // algorithm instances. len(nodes) must equal input.N().
@@ -368,6 +383,7 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 	e.recvStamp = make([]uint32, n)
 	e.recvActive = make([][]int32, n)
 	e.recvQueued = make([]int64, n)
+	e.shards = make([]deliveryShard, 1) // [0] serves the sequential delivery path
 	e.deliverFn = func(worker int) {
 		lo, hi := e.shardPlan[worker], e.shardPlan[worker+1]
 		shard := &e.shards[worker]
@@ -387,10 +403,8 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 			e.copyPending(int(v))
 		}
 	}
-	if cfg.Mode == ModeBroadcast {
-		e.bcastQ = make([]wordQueue, n)
-		e.bcastInSet = make([]bool, n)
-	}
+	e.bcastQ = make([]wordQueue, n)
+	e.bcastInSet = make([]bool, n)
 	inOffs, inTgts := input.CSR()
 	e.ctxs = make([]*Context, n)
 	for v := 0; v < n; v++ {
@@ -535,14 +549,46 @@ func (e *Engine) copyPending(v int) {
 	ctx := e.ctxs[v]
 	for _, ps := range ctx.pending {
 		ws := ctx.sendBuf[ps.off : ps.off+ps.n]
-		if ps.nbrIdx == bcastIdx {
-			e.bcastQ[v].push(ws)
-		} else {
+		switch {
+		case ps.nbrIdx != bcastIdx:
 			e.queues[e.commOffs[v]+ps.nbrIdx].push(ws)
+			ctx.wordsSent += int64(len(ws))
+		case e.cfg.Mode == ModeBroadcast:
+			e.bcastQ[v].push(ws)
+			ctx.wordsSent += int64(len(ws))
+		default:
+			e.pushBroadcast(v, ws)
+			ctx.wordsSent += int64(len(ws)) * int64(len(ctx.comm))
 		}
-		ctx.wordsSent += int64(len(ws))
 	}
 	e.metrics.PerNodeWordsSent[v] = ctx.wordsSent
+}
+
+// pushBroadcast queues a unicast-mode Broadcast from sender v. Every
+// out-channel u→w carries v's pending lane words followed by its own
+// queue, so the words may go on the lane only while all of v's own queues
+// are empty — otherwise they would overtake words sent before them — and
+// never under a fault plan, whose per-link loss and delay break the
+// lockstep the lane relies on. In either of those cases the words are
+// copied onto every out-channel, exactly as d unicasts would be.
+func (e *Engine) pushBroadcast(v int, ws []Word) {
+	out := e.queues[e.commOffs[v]:e.commOffs[v+1]]
+	if e.flt == nil && allEmpty(out) {
+		e.bcastQ[v].push(ws)
+		return
+	}
+	for i := range out {
+		out[i].push(ws)
+	}
+}
+
+func allEmpty(qs []wordQueue) bool {
+	for i := range qs {
+		if !qs[i].empty() {
+			return false
+		}
+	}
+	return true
 }
 
 // activatePending updates the activation stamps, active lists and
@@ -550,34 +596,29 @@ func (e *Engine) copyPending(v int) {
 // pending list and send arena. Must run on the sequential spine in
 // ascending node order — the append order of recvActive/activeRecv is the
 // determinism contract's source of per-receiver delivery order.
+//
+// A unicast-mode Broadcast activates every out-channel in ascending
+// neighbor order — the order d Sends would — whether its words went on the
+// lane or onto the channels, and a lane that just became non-empty joins
+// laneActive so the delivery phase advances it.
 func (e *Engine) activatePending(v int) {
 	ctx := e.ctxs[v]
 	for _, ps := range ctx.pending {
-		if ps.nbrIdx == bcastIdx {
+		switch {
+		case ps.nbrIdx != bcastIdx:
+			e.activateEdge(e.commOffs[v]+ps.nbrIdx, ps.n)
+		case e.cfg.Mode == ModeBroadcast:
 			if !e.bcastInSet[v] {
 				e.bcastInSet[v] = true
 				e.bcastActive = append(e.bcastActive, int32(v))
 			}
-			continue
-		}
-		eid := e.commOffs[v] + ps.nbrIdx
-		to := e.commTgts[eid]
-		e.recvQueued[to] += int64(ps.n)
-		e.queuedWords += int64(ps.n)
-		if e.edgeStamp[eid] != e.epoch {
-			e.edgeStamp[eid] = e.epoch
-			e.recvActive[to] = append(e.recvActive[to], eid)
-			if e.recvStamp[to] != e.epoch {
-				e.recvStamp[to] = e.epoch
-				// Sharded engines keep the receiver list split per shard
-				// (this path runs only from initNodes there; steady-state
-				// sharded activation goes through the staging drain).
-				if e.nshards > 1 {
-					t := e.shardOf[to]
-					e.shardRecv[t] = append(e.shardRecv[t], to)
-				} else {
-					e.activeRecv = append(e.activeRecv, to)
-				}
+		default:
+			if !e.bcastInSet[v] && !e.bcastQ[v].empty() {
+				e.bcastInSet[v] = true
+				e.laneActive = append(e.laneActive, int32(v))
+			}
+			for eid := e.commOffs[v]; eid < e.commOffs[v+1]; eid++ {
+				e.activateEdge(eid, ps.n)
 			}
 		}
 	}
@@ -585,10 +626,36 @@ func (e *Engine) activatePending(v int) {
 	ctx.sendBuf = ctx.sendBuf[:0]
 }
 
+// activateEdge accounts n words newly queued on channel eid and appends the
+// channel to its receiver's active list if it was idle.
+func (e *Engine) activateEdge(eid, n int32) {
+	to := e.commTgts[eid]
+	e.recvQueued[to] += int64(n)
+	e.queuedWords += int64(n)
+	if e.edgeStamp[eid] == e.epoch {
+		return
+	}
+	e.edgeStamp[eid] = e.epoch
+	e.recvActive[to] = append(e.recvActive[to], eid)
+	if e.recvStamp[to] != e.epoch {
+		e.recvStamp[to] = e.epoch
+		// Sharded engines keep the receiver list split per shard (this
+		// path runs only from initNodes there; steady-state sharded
+		// activation goes through the staging drain).
+		if e.nshards > 1 {
+			t := e.shardOf[to]
+			e.shardRecv[t] = append(e.shardRecv[t], to)
+		} else {
+			e.activeRecv = append(e.activeRecv, to)
+		}
+	}
+}
+
 // deliverTo drains up to B words from every active in-edge of receiver v
 // into v's inbox. It touches only v-owned state (v's inbox, v's in-edge
 // queues and stamps, v's recv counter) plus the caller's shard, so distinct
-// receivers can be processed concurrently.
+// receivers can be processed concurrently. Sender lanes are only read —
+// many receivers share one — and advanced after the phase by advanceLanes.
 func (e *Engine) deliverTo(v int32, shard *deliveryShard) {
 	if e.flt != nil {
 		e.deliverToFaulty(v, shard)
@@ -598,22 +665,60 @@ func (e *Engine) deliverTo(v int32, shard *deliveryShard) {
 	keep := e.recvActive[v][:0]
 	for _, eid := range e.recvActive[v] {
 		q := &e.queues[eid]
-		ws := q.popUpTo(b)
+		from := e.edgeFrom[eid]
+		lane := &e.bcastQ[from]
+		var ws []Word
+		left := 0 // lane words this channel still carries after this round
+		switch nl := lane.pending(); {
+		case nl == 0:
+			ws = q.popUpTo(b)
+		case nl >= b:
+			ws = lane.buf[lane.head : lane.head+b]
+			left = nl - b
+		default:
+			ws = lane.buf[lane.head:]
+			if own := q.popUpTo(b - nl); len(own) > 0 {
+				// The lane's tail and the channel's own head are not
+				// contiguous: the one case that copies.
+				at := len(shard.scratch)
+				shard.scratch = append(append(shard.scratch, ws...), own...)
+				ws = shard.scratch[at:len(shard.scratch):len(shard.scratch)]
+			}
+		}
 		if len(ws) > 0 {
-			e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(e.edgeFrom[eid]), Words: ws})
+			e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(from), Words: ws})
 			shard.messages++
 			shard.words += int64(len(ws))
 			e.metrics.PerNodeWordsRecv[v] += int64(len(ws))
 			e.recvQueued[v] -= int64(len(ws))
 			shard.moved = true
 		}
-		if !q.empty() {
+		if left > 0 || !q.empty() {
 			keep = append(keep, eid)
 		} else {
 			e.edgeStamp[eid] = 0
 		}
 	}
 	e.recvActive[v] = keep
+}
+
+// advanceLanes runs on the spine after the unicast delivery phase: every
+// out-channel of an active lane's sender delivered min(B, pending) of its
+// words this round — the channels move in lockstep — so the lane drops
+// exactly that many once, and leaves laneActive when it drains.
+func (e *Engine) advanceLanes() {
+	b := e.cfg.BandwidthWords
+	keep := e.laneActive[:0]
+	for _, u := range e.laneActive {
+		q := &e.bcastQ[u]
+		q.popUpTo(b)
+		if q.empty() {
+			e.bcastInSet[u] = false
+		} else {
+			keep = append(keep, u)
+		}
+	}
+	e.laneActive = keep
 }
 
 // step executes one round: deliver up to B words on each active channel
@@ -742,7 +847,7 @@ func (e *Engine) step() {
 		}
 		shards := e.shards[:nshards]
 		for i := range shards {
-			shards[i] = deliveryShard{}
+			shards[i].reset()
 		}
 		e.pool().run(nshards, e.deliverFn)
 		for i := range shards {
@@ -755,18 +860,20 @@ func (e *Engine) step() {
 		}
 		e.metrics.WordsDelivered += delivered
 	} else if len(e.activeRecv) > 0 {
-		var shard deliveryShard
+		shard := &e.shards[0]
+		shard.reset()
 		for _, v := range e.activeRecv {
-			e.deliverTo(v, &shard)
+			e.deliverTo(v, shard)
 		}
 		e.metrics.MessagesDelivered += shard.messages
 		delivered = shard.words
 		e.metrics.WordsDelivered += delivered
 		moved = moved || shard.moved
 		if e.flt != nil {
-			popped += e.foldFaultShard(&shard)
+			popped += e.foldFaultShard(shard)
 		}
 	}
+	e.advanceLanes()
 	// Under faults the queued-word account is debited by the words popped
 	// off queues (lost and crash-dropped batches pop without delivering,
 	// duplicated ones deliver without popping); fault-free, popped ==
@@ -827,7 +934,7 @@ func (e *Engine) step() {
 			}
 			e.wheel.release(bucket)
 		}
-		slices.Sort(scheduled)
+		scheduled = e.sortScheduled(scheduled, 0, int32(len(e.nodes)))
 	} else {
 		for v := 0; v < len(e.nodes); v++ {
 			if e.flt != nil && e.flt.dead[v] {
@@ -900,6 +1007,24 @@ func (e *Engine) step() {
 			Moved:    moved,
 		})
 	}
+}
+
+// sortScheduled puts a round's scheduled list — the nodes in [lo, hi)
+// whose schedStamp is the current schedGen — in ascending order. When the
+// list covers at least 1/16 of the range, scanning the stamps rebuilds it
+// in order faster than sorting it; the result is identical either way.
+func (e *Engine) sortScheduled(sched []int32, lo, hi int32) []int32 {
+	if len(sched)*16 < int(hi-lo) {
+		slices.Sort(sched)
+		return sched
+	}
+	sched = sched[:0]
+	for v := lo; v < hi; v++ {
+		if e.schedStamp[v] == e.schedGen {
+			sched = append(sched, v)
+		}
+	}
+	return sched
 }
 
 // mergeSeq is the sequential merge phase: flush, emit, reset and track each
@@ -1034,13 +1159,16 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 	}
 	clear(e.recvQueued)
 	e.queuedWords = 0
-	for _, u := range e.bcastActive {
-		q := &e.bcastQ[u]
-		q.buf = q.buf[:0]
-		q.head = 0
-		e.bcastInSet[u] = false
+	for _, active := range [2][]int32{e.bcastActive, e.laneActive} {
+		for _, u := range active {
+			q := &e.bcastQ[u]
+			q.buf = q.buf[:0]
+			q.head = 0
+			e.bcastInSet[u] = false
+		}
 	}
 	e.bcastActive = e.bcastActive[:0]
+	e.laneActive = e.laneActive[:0]
 	e.epoch++
 	e.nodes = nodes
 	e.cfg.Seed = seed
@@ -1252,13 +1380,13 @@ func (e *Engine) PendingWords() int {
 	total := 0
 	for _, v := range e.activeRecv {
 		for _, eid := range e.recvActive[v] {
-			total += e.queues[eid].pending()
+			total += e.channelPending(eid)
 		}
 	}
 	for s := range e.shardRecv {
 		for _, v := range e.shardRecv[s] {
 			for _, eid := range e.recvActive[v] {
-				total += e.queues[eid].pending()
+				total += e.channelPending(eid)
 			}
 		}
 	}
@@ -1266,6 +1394,12 @@ func (e *Engine) PendingWords() int {
 		total += e.bcastQ[u].pending()
 	}
 	return total
+}
+
+// channelPending returns the words queued on unicast channel eid: its
+// sender's lane words followed by its own queue.
+func (e *Engine) channelPending(eid int32) int {
+	return e.bcastQ[e.edgeFrom[eid]].pending() + e.queues[eid].pending()
 }
 
 // Round returns the number of rounds executed so far.

@@ -1,7 +1,5 @@
 package sim
 
-import "slices"
-
 // Sharded engine (Config.Shards > 1): the nodes are statically partitioned
 // into S contiguous shards cut by degree weight, and every per-node phase of
 // the round runs shard-at-a-time — on the worker pool under Config.Parallel,
@@ -125,8 +123,8 @@ func (e *Engine) shardDeliverWork(s int) {
 // arbitrary order) and run each node. Contiguous shards make the sorted
 // per-shard lists concatenate to the global ascending order.
 func (e *Engine) shardComputeWork(s int) {
-	sched := e.shardSched[s]
-	slices.Sort(sched)
+	sched := e.sortScheduled(e.shardSched[s], e.shardBounds[s], e.shardBounds[s+1])
+	e.shardSched[s] = sched
 	for _, v := range sched {
 		e.nodes[v].Round(e.ctxs[v], e.round, e.inboxes[v])
 	}
@@ -134,36 +132,44 @@ func (e *Engine) shardComputeWork(s int) {
 
 // shardMergeWork is shard s's half of the merge before the barrier: for each
 // scheduled sender (ascending), copy pending words into the sender-owned
-// queues, record one activation entry per unicast send in the staging row
-// toward the receiver's shard, collect newly broadcast-active senders, then
-// clear the send arena and the sender's consumed inbox. The activation
-// bookkeeping itself — the order-sensitive half — is deferred to
+// queues and lane, record one activation entry per channel a send queued
+// words on (every out-channel, for a unicast-mode Broadcast) in the staging
+// row toward the receiver's shard, collect newly active broadcast queues
+// and lanes, then clear the send arena and the sender's consumed inbox. The
+// activation bookkeeping itself — the order-sensitive half — is deferred to
 // shardDrainWork on the other side of the barrier.
 func (e *Engine) shardMergeWork(s int) {
-	S := e.nshards
 	for _, v := range e.shardSched[s] {
+		e.copyPending(int(v))
 		ctx := e.ctxs[v]
 		for _, ps := range ctx.pending {
-			ws := ctx.sendBuf[ps.off : ps.off+ps.n]
-			if ps.nbrIdx == bcastIdx {
-				e.bcastQ[v].push(ws)
-				if !e.bcastInSet[v] {
-					e.bcastInSet[v] = true
-					e.stagedBcast[s] = append(e.stagedBcast[s], v)
-				}
-			} else {
-				eid := e.commOffs[v] + ps.nbrIdx
-				e.queues[eid].push(ws)
-				t := e.shardOf[e.commTgts[eid]]
-				e.staging[s*S+int(t)] = append(e.staging[s*S+int(t)], stagedSend{eid: eid, n: ps.n})
+			if ps.nbrIdx != bcastIdx {
+				e.stage(s, e.commOffs[v]+ps.nbrIdx, ps.n)
+				continue
 			}
-			ctx.wordsSent += int64(len(ws))
+			// In ModeBroadcast the queue was just pushed; in the unicast
+			// modes the words may have bypassed the lane.
+			if !e.bcastInSet[v] && !e.bcastQ[v].empty() {
+				e.bcastInSet[v] = true
+				e.stagedBcast[s] = append(e.stagedBcast[s], v)
+			}
+			if e.cfg.Mode != ModeBroadcast {
+				for eid := e.commOffs[v]; eid < e.commOffs[v+1]; eid++ {
+					e.stage(s, eid, ps.n)
+				}
+			}
 		}
-		e.metrics.PerNodeWordsSent[v] = ctx.wordsSent
 		ctx.pending = ctx.pending[:0]
 		ctx.sendBuf = ctx.sendBuf[:0]
 		e.inboxes[v] = e.inboxes[v][:0]
 	}
+}
+
+// stage records, in sender shard s's staging row toward the receiver's
+// shard, that n words were queued on channel eid.
+func (e *Engine) stage(s int, eid, n int32) {
+	i := s*e.nshards + int(e.shardOf[e.commTgts[eid]])
+	e.staging[i] = append(e.staging[i], stagedSend{eid: eid, n: n})
 }
 
 // shardDrainWork is receiver shard t's half of the merge after the barrier:
@@ -277,7 +283,7 @@ func (e *Engine) stepSharded() {
 	// parallelMinWords queued words the handoff costs more than the work.
 	if e.hasActiveRecv() {
 		for i := range e.shardCtr {
-			e.shardCtr[i] = deliveryShard{}
+			e.shardCtr[i].reset()
 		}
 		if usePar && e.queuedWords >= parallelMinWords {
 			e.pool().run(S, e.shardDeliverFn)
@@ -303,6 +309,7 @@ func (e *Engine) stepSharded() {
 			e.queuedWords -= delivered
 		}
 	}
+	e.advanceLanes()
 	if moved {
 		e.metrics.ActiveRounds++
 	}
@@ -356,7 +363,7 @@ func (e *Engine) stepSharded() {
 		}
 	}
 	for i := range e.shardCtr {
-		e.shardCtr[i] = deliveryShard{}
+		e.shardCtr[i].reset()
 	}
 	if usePar && mergeWork >= parallelMinWords && nsched > 1 {
 		e.pool().run(S, e.shardMergeFn)
@@ -372,10 +379,15 @@ func (e *Engine) stepSharded() {
 	for i := range e.shardCtr {
 		e.queuedWords += e.shardCtr[i].words
 	}
-	// Newly broadcast-active senders, ascending shard then ascending sender
-	// = ascending sender, the single-shard activation order.
+	// Newly active broadcast queues (or, in the unicast modes, lanes),
+	// ascending shard then ascending sender = ascending sender, the
+	// single-shard activation order.
+	active := &e.bcastActive
+	if e.cfg.Mode != ModeBroadcast {
+		active = &e.laneActive
+	}
 	for s := 0; s < S; s++ {
-		e.bcastActive = append(e.bcastActive, e.stagedBcast[s]...)
+		*active = append(*active, e.stagedBcast[s]...)
 		e.stagedBcast[s] = e.stagedBcast[s][:0]
 	}
 	// Output emission and scheduler tracking on the spine, in global

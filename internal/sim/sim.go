@@ -132,7 +132,8 @@ func (c *Context) NbrIndexOf(u int) int {
 	return -1
 }
 
-// bcastIdx marks a pending send as a broadcast-mode emission.
+// bcastIdx marks a pending send as a Broadcast: the broadcast-mode
+// emission, or a unicast-mode broadcast to every communication neighbor.
 const bcastIdx = -1
 
 // Send queues words on the directed channel to the nbrIdx-th communication
@@ -173,19 +174,16 @@ func (c *Context) SendTo(u int, words ...Word) {
 
 // Broadcast queues the same words to every communication neighbor. In the
 // broadcast CONGEST model this is the only legal primitive and consumes one
-// shared B-word channel per round; in the unicast models it expands to one
-// copy per neighbor (each on its own channel).
+// shared B-word channel per round. In the unicast models it is exactly one
+// Send of the words to each neighbor — each channel carries its own copy
+// and spends its own bandwidth — but the engine stores the words once, on
+// the sender's broadcast lane, whenever that is unobservable (see
+// DESIGN.md, "Broadcast lanes").
 func (c *Context) Broadcast(words ...Word) {
-	if len(words) == 0 {
+	if len(words) == 0 || (!c.bcastOnly && len(c.comm) == 0) {
 		return
 	}
-	if c.bcastOnly {
-		c.enqueue(bcastIdx, words)
-		return
-	}
-	for i := range c.comm {
-		c.Send(i, words...)
-	}
+	c.enqueue(bcastIdx, words)
 }
 
 // Output records a triangle in this node's output set T_i.

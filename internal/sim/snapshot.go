@@ -400,7 +400,10 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	// activeRecv/shardRecv is unobservable: delivery is per-receiver
 	// independent and the scheduled set is re-sorted every round). Within a
 	// receiver, recvActive order IS observable (it is the inbox order) and
-	// is serialized verbatim.
+	// is serialized verbatim. A channel's words are its sender's lane words
+	// followed by its own queue — the channel's contents, however the
+	// engine stores them — so restore rebuilds every channel as a plain
+	// queue and the payload does not depend on the lane representation.
 	var recvs []int32
 	if e.nshards > 1 {
 		for s := range e.shardRecv {
@@ -416,8 +419,14 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		w.U32(uint32(len(e.recvActive[v])))
 		for _, eid := range e.recvActive[v] {
 			w.U32(uint32(eid))
-			q := &e.queues[eid]
-			w.Words(q.buf[q.head:])
+			q, lane := &e.queues[eid], &e.bcastQ[e.edgeFrom[eid]]
+			w.U32(uint32(lane.pending() + q.pending()))
+			for _, x := range lane.buf[lane.head:] {
+				w.U64(x)
+			}
+			for _, x := range q.buf[q.head:] {
+				w.U64(x)
+			}
 			if e.flt != nil {
 				// Delay arming is the one piece of mutable fault state a
 				// resume cannot re-derive (the draw round is gone).
@@ -648,7 +657,7 @@ func (e *Engine) Restore(payload []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if int(u) >= n || e.bcastQ == nil {
+		if int(u) >= n || e.cfg.Mode != ModeBroadcast {
 			return fmt.Errorf("%w: broadcast sender %d invalid for this mode", ErrBadSnapshot, u)
 		}
 		if len(ws) == 0 || e.bcastInSet[u] {
